@@ -1,11 +1,13 @@
-//! Ablation: naive pairwise intersection (§3.2.2) vs residue-bucketed
-//! intersection (the Appendix A.3 `N²/k^m` refinement made operational).
+//! Ablation: the naive nested-loop intersection oracle (§3.2.2) vs the
+//! residue-indexed batch kernel behind `intersect_in` (the Appendix A.3
+//! `N²/k^m` refinement made operational).
 //!
-//! The paper predicts the win grows with the period `k` (more buckets →
-//! fewer colliding pairs). Coalescing (the Lemma 3.1 inverse) is measured
+//! The paper predicts the win grows with the period `k` (more residue
+//! classes → fewer colliding pairs). Coalescing (the Lemma 3.1 inverse) is measured
 //! alongside, on the complement outputs it is designed to shrink.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use itd_core::ExecContext;
 use itd_workload::{random_relation, RelationSpec};
 
 fn spec(n: usize, k: i64) -> RelationSpec {
@@ -19,17 +21,18 @@ fn spec(n: usize, k: i64) -> RelationSpec {
     }
 }
 
-fn bench_bucketing(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_intersection_bucketing");
+fn bench_index(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ablation_intersection_index");
     for &k in &[2i64, 4, 8, 16] {
         let n = 128usize;
         let a = random_relation(&spec(n, k), 1);
         let b = random_relation(&spec(n, k), 2);
-        group.bench_with_input(BenchmarkId::new("naive", k), &k, |bch, _| {
-            bch.iter(|| a.intersect(&b).unwrap())
+        let ctx = ExecContext::serial();
+        group.bench_with_input(BenchmarkId::new("oracle", k), &k, |bch, _| {
+            bch.iter(|| a.intersect_unindexed_in(&b, &ctx).unwrap())
         });
-        group.bench_with_input(BenchmarkId::new("bucketed", k), &k, |bch, _| {
-            bch.iter(|| a.intersect_bucketed(&b).unwrap())
+        group.bench_with_input(BenchmarkId::new("kernel", k), &k, |bch, _| {
+            bch.iter(|| a.intersect_in(&b, &ctx).unwrap())
         });
     }
     group.finish();
@@ -88,7 +91,7 @@ fn bench_partial_projection(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_bucketing,
+    bench_index,
     bench_coalesce,
     bench_partial_projection
 );

@@ -687,29 +687,38 @@ fn figures() {
 
 fn ablations() {
     println!("\n## Ablations (design choices from DESIGN.md)\n");
-    // Residue bucketing (Appendix A.3): naive vs bucketed intersection.
-    println!("### Intersection: naive pairwise vs residue-bucketed (N = 128, m = 2)\n");
-    println!("| k | naive | bucketed | speedup |");
-    println!("|---|---|---|---|");
-    for k in take(&[2i64, 4, 8, 16]) {
-        let a = random_relation(&spec(128, 2, k), 1);
-        let b = random_relation(&spec(128, 2, k), 2);
-        let (naive, r1) = time_median(REPS, || a.intersect(&b).expect("intersect"));
-        let (bucketed, r2) = time_median(REPS, || a.intersect_bucketed(&b).expect("intersect"));
-        // Same semantics (the point of an ablation is a fair comparison).
-        assert_eq!(
-            r1.materialize(-10, 10),
-            r2.materialize(-10, 10),
-            "bucketing must not change semantics"
-        );
-        println!(
-            "| {k} | {} | {} | ×{:.1} |",
-            fmt_duration(naive),
-            fmt_duration(bucketed),
-            naive.as_secs_f64() / bucketed.as_secs_f64().max(1e-9),
-        );
+    // Residue indexing (Appendix A.3): the naive nested-loop oracle vs the
+    // indexed batch kernel behind `intersect_in`.
+    println!("### Intersection: naive oracle vs indexed kernel (N = 128, m = 2)\n");
+    println!("| k | naive oracle | kernel (warm) | speedup | index-pruned pairs |");
+    println!("|---|---|---|---|---|");
+    {
+        use itd_core::{ExecContext, OpKind};
+        for k in take(&[2i64, 4, 8, 16]) {
+            let a = random_relation(&spec(128, 2, k), 1);
+            let b = random_relation(&spec(128, 2, k), 2);
+            let serial = ExecContext::serial();
+            let (naive, r1) = time_median(REPS, || {
+                a.intersect_unindexed_in(&b, &serial).expect("intersect")
+            });
+            let ctx = ExecContext::serial();
+            let (kernel, r2) = time_median(REPS, || a.intersect_in(&b, &ctx).expect("intersect"));
+            // Same answer (the point of an ablation is a fair comparison).
+            assert_eq!(r1, r2, "the kernel must be bit-identical to the oracle");
+            let op = *ctx.stats().op(OpKind::Intersect);
+            println!(
+                "| {k} | {} | {} | ×{:.1} | {:.1}% |",
+                fmt_duration(naive),
+                fmt_duration(kernel),
+                naive.as_secs_f64() / kernel.as_secs_f64().max(1e-9),
+                100.0 * op.index_pruned as f64 / op.pairs.max(1) as f64,
+            );
+        }
     }
-    println!("\nThe win grows with k, matching Appendix A.3's N²/k^m collision analysis.");
+    println!(
+        "\nThe index skips a growing share of the N² candidate pairs as k grows, \
+         matching Appendix A.3's N²/k^m collision analysis."
+    );
 
     // Partial vs full normalization in projection (§3.4 remark).
     println!("\n### Projection: partial vs full normalization (§3.4 remark)\n");
@@ -873,16 +882,16 @@ fn index_effectiveness() {
     });
 
     // The CRT memo behind Lrp::intersect, warmed by everything above.
-    // Measured over the row path: the default kernel would answer this
-    // pair from the global outcome cache (the runs above populated it)
-    // without ever reaching `Lrp::intersect`.
+    // Measured over the naive oracle: the default kernel would answer
+    // this pair from the global outcome cache (the runs above populated
+    // it) without ever reaching `Lrp::intersect`.
     itd_lrp::crt_cache_reset();
     let _ = a
-        .intersect_rowpath_in(&b, &ExecContext::serial())
+        .intersect_unindexed_in(&b, &ExecContext::serial())
         .expect("intersect");
     let cache = itd_lrp::crt_cache_stats();
     println!(
-        "\nCRT cache over one indexed intersection: {} hits, {} misses (capacity {}).",
+        "\nCRT cache over one naive intersection: {} hits, {} misses (capacity {}).",
         cache.hits,
         cache.misses,
         itd_lrp::CRT_CACHE_CAP
@@ -1023,11 +1032,11 @@ fn columnar_storage() {
 /// 1. Bit-identity — on the Table 2 workloads (m = 2, k = 6 random
 ///    relations), the batch kernels behind `intersect_in` /
 ///    `difference_in` / `join_on_in` produce the same relation as the
-///    retained row-at-a-time twins at 1, 2, and 8 threads.
+///    naive nested-loop oracles (`*_unindexed_in`) at 1, 2, and 8
+///    threads.
 /// 2. Speedup — with the global pairwise-outcome cache warm, the median
-///    kernel timing must beat the row path by ≥ 1.5× on at least one of
-///    the three operations (in practice the warm intersection, which
-///    skips every surviving conjoin).
+///    kernel timing must beat the oracle by ≥ 1.5× on at least one of
+///    the three operations.
 /// 3. Plan cache — a repeated `run()` of the same source text must be
 ///    served from the prepared-plan cache (`plan_cached`, hit counters)
 ///    and never change the answer.
@@ -1040,7 +1049,7 @@ fn batch_kernels() {
     let a = random_relation(&spec(n, 2, 6), 42);
     let b = random_relation(&spec(n, 2, 6), 4242);
 
-    println!("| operation | row path | batch kernel (warm cache) | speedup | outcome-cache hits/rep | identical at 1/2/8 threads |");
+    println!("| operation | naive oracle | batch kernel (warm cache) | speedup | outcome-cache hits/rep | identical at 1/2/8 threads |");
     println!("|---|---|---|---|---|---|");
 
     type Runner<'x> = Box<dyn Fn(&ExecContext) -> GenRelation + 'x>;
@@ -1049,36 +1058,39 @@ fn batch_kernels() {
             "intersection",
             true,
             Box::new(|ctx: &ExecContext| a.intersect_in(&b, ctx).expect("intersect")),
-            Box::new(|ctx: &ExecContext| a.intersect_rowpath_in(&b, ctx).expect("intersect")),
+            Box::new(|ctx: &ExecContext| a.intersect_unindexed_in(&b, ctx).expect("intersect")),
         ),
         (
             "join",
             true,
             Box::new(|ctx| a.join_on_in(&b, &[(0, 0)], &[], ctx).expect("join")),
-            Box::new(|ctx| a.join_on_rowpath_in(&b, &[(0, 0)], &[], ctx).expect("join")),
+            Box::new(|ctx| {
+                a.join_on_unindexed_in(&b, &[(0, 0)], &[], ctx)
+                    .expect("join")
+            }),
         ),
         (
             "difference",
             false, // pair outcomes are not cacheable; the kernel's win is the batch filter
             Box::new(|ctx| a.difference_in(&b, ctx).expect("difference")),
-            Box::new(|ctx| a.difference_rowpath_in(&b, ctx).expect("difference")),
+            Box::new(|ctx| a.difference_unindexed_in(&b, ctx).expect("difference")),
         ),
     ];
 
     let mut best: (&str, f64) = ("", 0.0);
-    for (name, cached, kernel, rowpath) in &ops {
+    for (name, cached, kernel, oracle) in &ops {
         // Bit-identity first; these runs double as cache warmup (row
-        // cache for the row path, outcome cache for the kernel).
-        let reference = rowpath(&ExecContext::serial());
+        // cache for the oracle, outcome cache for the kernel).
+        let reference = oracle(&ExecContext::serial());
         for threads in [1usize, 2, 8] {
             assert_eq!(
                 kernel(&ExecContext::with_threads(threads)),
                 reference,
-                "{name} kernel must be bit-identical to the row path at {threads} threads"
+                "{name} kernel must be bit-identical to the oracle at {threads} threads"
             );
         }
         let ctx = ExecContext::serial();
-        let (row, _) = time_median(REPS, || rowpath(&ctx));
+        let (naive, _) = time_median(REPS, || oracle(&ctx));
         let before = storage_stats();
         let (krn, _) = time_median(REPS, || kernel(&ctx));
         let hits = storage_stats().delta_since(&before).outcome_hits;
@@ -1088,20 +1100,20 @@ fn batch_kernels() {
                 "{name}: the warm kernel must be served by the outcome cache"
             );
         }
-        let speedup = row.as_secs_f64() / krn.as_secs_f64().max(1e-9);
+        let speedup = naive.as_secs_f64() / krn.as_secs_f64().max(1e-9);
         if speedup > best.1 {
             best = (name, speedup);
         }
         println!(
             "| {name} | {} | {} | ×{speedup:.1} | {} | true |",
-            fmt_duration(row),
+            fmt_duration(naive),
             fmt_duration(krn),
             hits / REPS as u64,
         );
         jsonout::counters(
             name,
             &[
-                ("rowpath_nanos", row.as_nanos() as u64),
+                ("oracle_nanos", naive.as_nanos() as u64),
                 ("kernel_nanos", krn.as_nanos() as u64),
                 ("speedup_x1000", (speedup * 1000.0) as u64),
                 ("outcome_hits", hits),
@@ -1110,7 +1122,7 @@ fn batch_kernels() {
     }
     assert!(
         best.1 >= 1.5,
-        "the batch kernels must beat the row path by ≥ 1.5× on at least \
+        "the batch kernels must beat the naive oracle by ≥ 1.5× on at least \
          one Table 2 operation (best: {} at ×{:.2})",
         best.0,
         best.1

@@ -1,69 +1,57 @@
 //! Hash-consing of temporal tuple parts for one operator invocation.
 //!
-//! Pairwise operators (`intersect_in`, `join_on_in`, `difference_in`)
-//! repeat the same temporal work many times: normalization and
-//! complement systematically emit tuples that differ only in their data
-//! columns or repeat the very same `(lrps, constraints)` pair, so the
-//! quadratic pair loop keeps re-deriving identical lrp intersections and
-//! constraint conjunctions. An [`Interner`] canonicalizes each distinct
-//! temporal part to a small integer id, counts the duplicates it absorbs
-//! (the `intern_hits` counter), and memoizes pairwise temporal outcomes
-//! keyed by id pairs so each distinct combination is computed once.
+//! The difference kernel's fold re-derives emptiness (a normalization)
+//! for many intermediate tuples that share one temporal part. Those fold
+//! intermediates are ephemeral, so they are never interned in the global
+//! store arenas; an [`Interner`] instead canonicalizes each distinct
+//! `(lrps, constraints)` part to a small integer id for the length of one
+//! invocation and memoizes its emptiness verdict, so each distinct part
+//! is normalized once.
 //!
 //! # Determinism
 //!
-//! The interner is shared across worker threads behind a [`Mutex`]. Which
-//! worker happens to insert a key first is scheduling-dependent, but the
-//! *totals* are not: over an operator invocation,
-//! `hits == lookups − distinct keys`, and both terms depend only on the
-//! input relations. The memo table is only used for computations that
-//! record no execution counters of their own (the caller records pairs /
-//! pruning per pair exactly as before), so sharing cached outcomes never
-//! changes any other counter. That keeps every counter bit-identical at
-//! 1, 2 and 8 threads.
+//! The interner is shared across worker threads behind a [`Mutex`].
+//! Which worker inserts a key first is scheduling-dependent, but a
+//! verdict is a pure function of the part, and the memo records no
+//! execution counters of its own (the caller records pairs / pruning
+//! exactly as without it), so every counter stays bit-identical at 1, 2
+//! and 8 threads.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use itd_constraint::ConstraintSystem;
 use itd_lrp::Lrp;
 
 /// The temporal part of a generalized tuple: its lrp vector and its
 /// constraint system, with the data columns stripped.
-pub(crate) type TemporalParts = (Vec<Lrp>, ConstraintSystem);
+type TemporalParts = (Vec<Lrp>, ConstraintSystem);
 
 /// Id assigned to one distinct temporal part within one interner.
-pub(crate) type TemporalId = u32;
+type TemporalId = u32;
 
-/// Minimum pair count (`|left| * |right|`) before a pairwise operator
-/// bothers to intern: below this the arena bookkeeping costs more than
-/// the duplicate work it absorbs. Mirrors the index gate
+/// Minimum pair count (`|left| * |right|`) before a pairwise kernel
+/// bothers to memoize: below this the bookkeeping costs more than the
+/// duplicate work it absorbs. Mirrors the index gate
 /// [`crate::index::INDEX_MIN_PAIRS`].
 pub(crate) const INTERN_MIN_PAIRS: usize = 32;
 
 #[derive(Debug, Default)]
 struct InternerInner {
-    /// Canonical temporal parts, indexed by id.
-    arena: Vec<Arc<TemporalParts>>,
     /// Reverse map from parts to id.
     ids: HashMap<TemporalParts, TemporalId>,
-    /// Memoized pairwise temporal outcomes. `None` means the combination
-    /// is empty / unsatisfiable; `Some` holds the shared result parts.
-    pairs: HashMap<(TemporalId, TemporalId), Option<Arc<TemporalParts>>>,
     /// Memoized per-part emptiness (denotation has no solutions).
     empties: HashMap<TemporalId, bool>,
 }
 
 /// A per-operation hash-consing arena for temporal tuple parts.
 ///
-/// Created fresh for each operator invocation (so ids and hit counts
-/// never depend on what ran before) and shared by reference across the
-/// invocation's worker threads.
+/// Created fresh for each operator invocation (so ids never depend on
+/// what ran before) and shared by reference across the invocation's
+/// worker threads.
 #[derive(Debug, Default)]
 pub(crate) struct Interner {
     inner: Mutex<InternerInner>,
-    hits: AtomicU64,
 }
 
 impl Interner {
@@ -71,71 +59,24 @@ impl Interner {
         Interner::default()
     }
 
-    /// Canonicalizes a temporal part, returning its id. A part seen
-    /// before counts as one hit and shares the existing allocation.
+    /// Canonicalizes a temporal part, returning its id.
     pub(crate) fn intern(&self, lrps: &[Lrp], cons: &ConstraintSystem) -> TemporalId {
         let key: TemporalParts = (lrps.to_vec(), cons.clone());
         let mut inner = self.inner.lock().expect("interner poisoned");
-        if let Some(&id) = inner.ids.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return id;
-        }
-        let id = inner.arena.len() as TemporalId;
-        inner.arena.push(Arc::new(key.clone()));
-        inner.ids.insert(key, id);
-        id
+        let next = inner.ids.len() as TemporalId;
+        *inner.ids.entry(key).or_insert(next)
     }
 
-    /// The canonical shared allocation for an interned id.
-    #[cfg(test)]
-    pub(crate) fn parts(&self, id: TemporalId) -> Arc<TemporalParts> {
-        let inner = self.inner.lock().expect("interner poisoned");
-        Arc::clone(&inner.arena[id as usize])
-    }
-
-    /// Looks up the memoized outcome for an id pair. A present entry
-    /// counts as one hit.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn cached_pair(
-        &self,
-        a: TemporalId,
-        b: TemporalId,
-    ) -> Option<Option<Arc<TemporalParts>>> {
-        let inner = self.inner.lock().expect("interner poisoned");
-        let found = inner.pairs.get(&(a, b)).cloned();
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    /// Records the outcome for an id pair (`None` = empty combination).
-    pub(crate) fn cache_pair(&self, a: TemporalId, b: TemporalId, outcome: Option<TemporalParts>) {
-        let mut inner = self.inner.lock().expect("interner poisoned");
-        inner.pairs.entry((a, b)).or_insert(outcome.map(Arc::new));
-    }
-
-    /// Looks up the memoized emptiness verdict for an id. A present entry
-    /// counts as one hit.
+    /// Looks up the memoized emptiness verdict for an id.
     pub(crate) fn cached_empty(&self, id: TemporalId) -> Option<bool> {
         let inner = self.inner.lock().expect("interner poisoned");
-        let found = inner.empties.get(&id).copied();
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        found
+        inner.empties.get(&id).copied()
     }
 
     /// Records the emptiness verdict for an id.
     pub(crate) fn cache_empty(&self, id: TemporalId, empty: bool) {
         let mut inner = self.inner.lock().expect("interner poisoned");
         inner.empties.entry(id).or_insert(empty);
-    }
-
-    /// Total duplicates absorbed so far (interned parts seen before plus
-    /// memoized pair lookups that hit).
-    pub(crate) fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
     }
 }
 
@@ -149,7 +90,7 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_parts_share_one_id_and_count_hits() {
+    fn duplicate_parts_share_one_id() {
         let int = Interner::new();
         let cons = ConstraintSystem::from_atoms(1, &[Atom::ge(0, 0)]).unwrap();
         let a = int.intern(&[lrp(1, 3)], &cons);
@@ -157,24 +98,6 @@ mod tests {
         let c = int.intern(&[lrp(2, 3)], &cons);
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_eq!(int.hits(), 1);
-        assert!(Arc::ptr_eq(&int.parts(a), &int.parts(b)));
-    }
-
-    #[test]
-    fn pair_memo_hits_only_after_insert() {
-        let int = Interner::new();
-        let cons = ConstraintSystem::unconstrained(1);
-        let a = int.intern(&[lrp(0, 2)], &cons);
-        let b = int.intern(&[lrp(1, 2)], &cons);
-        assert_eq!(int.cached_pair(a, b), None);
-        int.cache_pair(a, b, None);
-        assert_eq!(int.cached_pair(a, b), Some(None));
-        int.cache_pair(b, a, Some((vec![lrp(1, 2)], cons.clone())));
-        let hit = int.cached_pair(b, a).expect("cached");
-        assert_eq!(hit.as_deref(), Some(&(vec![lrp(1, 2)], cons)));
-        // one hit per successful lookup, none for the miss
-        assert_eq!(int.hits(), 2);
     }
 
     #[test]
@@ -184,23 +107,8 @@ mod tests {
         assert_eq!(int.cached_empty(id), None);
         int.cache_empty(id, false);
         assert_eq!(int.cached_empty(id), Some(false));
-        assert_eq!(int.hits(), 1);
-    }
-
-    #[test]
-    fn hits_equal_lookups_minus_distinct_regardless_of_order() {
-        let parts: Vec<TemporalParts> = (0..4)
-            .map(|i| (vec![lrp(i % 2, 2)], ConstraintSystem::unconstrained(1)))
-            .collect();
-        // Same multiset of lookups in two different orders.
-        let mut rev = parts.clone();
-        rev.reverse();
-        for seq in [parts, rev] {
-            let int = Interner::new();
-            for (lrps, cons) in &seq {
-                int.intern(lrps, cons);
-            }
-            assert_eq!(int.hits(), 4 - 2);
-        }
+        // The first verdict recorded for an id is the one kept.
+        int.cache_empty(id, true);
+        assert_eq!(int.cached_empty(id), Some(false));
     }
 }

@@ -1,14 +1,13 @@
-//! Columnar batch kernels for the pairwise algebra hot paths.
+//! Columnar batch kernels for the pairwise algebra operators.
 //!
-//! The row-at-a-time operator loops (`relation.rs`) materialize both
-//! operands as `GenTuple` slices and run the full per-pair derivation —
-//! or a per-invocation memo — on every candidate pair. The kernels here
-//! instead work straight off the store's flat columns:
+//! `intersect_in`, `difference_in` and `join_on_in` are served here,
+//! straight off the store's flat columns (the naive nested-loop oracles
+//! `*_unindexed_in` in `relation.rs` are what they are tested against):
 //!
-//! 1. **Probe** candidates through the persistent residue index exactly
-//!    like the row path (same gates, same `index_probes`/`index_pruned`
-//!    counters), feeding the index the probe row's `(offset, period)`
-//!    pairs and interned [`ValueId`]s — no row materialization.
+//! 1. **Probe** candidates through the persistent residue index (gated
+//!    by [`INDEX_MIN_PAIRS`] and a discriminating key), feeding the index
+//!    the probe row's `(offset, period)` pairs and interned
+//!    [`ValueId`]s — no row materialization.
 //! 2. **Batch pre-filter** every candidate pair over the contiguous
 //!    `t_offsets`/`t_periods` arrays and `ValueId` columns: a pair dies
 //!    when some relevant data column's ids differ (ids are canonical, so
@@ -16,39 +15,45 @@
 //!    fails the gcd-congruence solvability test
 //!    `o₁ ≡ o₂ (mod gcd(k₁, k₂))` (§3.2.1) — **exactly** the condition
 //!    under which [`Lrp::intersect`](itd_lrp::Lrp::intersect) is empty,
-//!    so a rejected pair is precisely a pair the row path would have
-//!    derived to nothing. The rejection is pure integer arithmetic over
-//!    slices: no locks, no allocation, no `GenTuple`/`RowRef`.
+//!    so a rejected pair is precisely a pair the per-pair derivation
+//!    would turn into nothing. The rejection is pure integer arithmetic
+//!    over slices: no locks, no allocation, no `GenTuple`/`RowRef`.
 //! 3. **Derive survivors** through the process-wide pairwise outcome
 //!    cache (`crate::store`): the two temporal parts are globally
 //!    hash-consed, so `(part, part, op)` outcomes survive across
-//!    operator calls *and* queries. Misses fall into the existing
-//!    per-pair derivation (`crate::ops`).
+//!    operator calls *and* queries. Misses fall into the per-pair
+//!    derivation (`crate::ops`). Outcome-cache hit totals are
+//!    process-history dependent, so they are reported through
+//!    [`storage_stats`](crate::store), never through the per-op counters.
 //!
-//! # Counter parity and determinism
+//! # Counters and determinism
 //!
-//! Each kernel reproduces its row path's counter flow bit for bit:
-//! `pairs`, `empties_pruned`, `index_probes` and `index_pruned` are
-//! incremented at the same program points with the same values, so the
-//! invariants (`probes + index_pruned == pairs` per indexed outer row,
-//! prune budgets) are preserved, and chunked execution over row indices
-//! splits exactly like chunking the row slice
-//! ([`run_chunked_range`](crate::exec)) — results and counters are
-//! identical at any thread count. The single deliberate exception is
-//! `intern_hits`: the kernels replace the per-invocation memo with the
-//! global outcome cache, whose hit totals are process-history dependent,
-//! so they are reported through [`storage_stats`](crate::store) (and the
-//! Prometheus gauges) instead of the per-op counters, and the kernels
-//! leave `intern_hits` at zero.
+//! For intersect and join, `pairs` is `|left| · |right|`; every pair
+//! skipped by the index, rejected by the batch filter, or derived to
+//! nothing adds one to `empties_pruned`. When the index runs, each outer
+//! row adds its candidate count to `index_probes` and the rest to
+//! `index_pruned`, so `index_probes + index_pruned == pairs`. All of
+//! these, and the result, equal what the nested-loop oracle records
+//! (the oracle never touches `index_probes`/`index_pruned`).
 //!
-//! For the difference fold, a batch-rejected subtrahend `t2` is
-//! columnwise disjoint from `t1` (or differs in data); every fold member
-//! is a columnwise subset of `t1` carrying `t1`'s data, so the entire
-//! step is a no-op: the row path would add `acc.len()` pairs, pass every
-//! member through unchanged, and prune nothing. The kernel adds the same
-//! `acc.len()` pairs and skips the derivation. The fold-initial member
-//! `t1` itself is the one member that might be grid-empty (a no-op step
-//! still prunes it); both arms handle it explicitly below.
+//! Difference adds one `pair` per fold member per executed step and
+//! counts grid-empty or duplicate step results in `empties_pruned`. A
+//! batch-rejected subtrahend `t2` is columnwise disjoint from `t1` (or
+//! differs in data); every fold member is a columnwise subset of `t1`
+//! carrying `t1`'s data, so the step is a no-op: the kernel adds the
+//! `acc.len()` pairs the step would have counted and skips the
+//! derivation. An index-skipped subtrahend is skipped without counting
+//! pairs, so difference counts at most the oracle's `pairs`. The
+//! fold-initial member `t1` itself is the one member that might be
+//! grid-empty (a no-op step still prunes it): the unindexed arm runs the
+//! oracle's first step literally, the indexed arm drops it upfront as
+//! one pruned result — the oracle's count too unless its first
+//! subtrahend overlaps `t1` and splits it into several grid-empty
+//! pieces.
+//!
+//! Chunked execution over row indices
+//! ([`run_chunked_range`](crate::exec)) concatenates per-row outputs in
+//! row order, so results and counters are identical at any thread count.
 
 use std::sync::Arc;
 
@@ -59,7 +64,7 @@ use crate::index::{RelationIndex, INDEX_MIN_PAIRS};
 use crate::intern::{Interner, INTERN_MIN_PAIRS};
 use crate::ops;
 use crate::store::{
-    outcome_cache_empty, outcome_cache_pair, outcome_cached_empty, outcome_cached_pair, PairOpKey,
+    outcome_cache_empty, outcome_cache_pair, outcome_lookup_empty, outcome_lookup_pair, PairOpKey,
     RelStore, TemporalPartId, ValueId,
 };
 use crate::tuple::GenTuple;
@@ -141,7 +146,7 @@ fn probe_args(
 
 /// Grid-emptiness of an interned part through the global verdict cache.
 fn part_is_empty(id: TemporalPartId, t: &GenTuple) -> Result<bool> {
-    if let Some(empty) = outcome_cached_empty(id) {
+    if let Some(empty) = outcome_lookup_empty(id) {
         return Ok(empty);
     }
     let empty = t.is_empty()?;
@@ -149,22 +154,21 @@ fn part_is_empty(id: TemporalPartId, t: &GenTuple) -> Result<bool> {
     Ok(empty)
 }
 
-/// The persistent index over `right`, under the row path's exact gates:
-/// pair count at [`INDEX_MIN_PAIRS`] and a discriminating key.
+/// The persistent index over `right`, gated by pair count at
+/// [`INDEX_MIN_PAIRS`] and a discriminating key.
 fn gated_index(
     right: &RelStore,
     pairs: usize,
-    allow: bool,
     tcols: &[usize],
     dcols: &[usize],
 ) -> Option<Arc<RelationIndex>> {
-    (allow && pairs >= INDEX_MIN_PAIRS)
+    (pairs >= INDEX_MIN_PAIRS)
         .then(|| right.index_for(tcols, dcols))
         .filter(|idx| idx.is_discriminating())
 }
 
-/// Batched intersection: returns the output tuples of
-/// `left ∩ right` with the row path's exact counter flow.
+/// Batched intersection: returns the output tuples of `left ∩ right`
+/// (counters as in the module docs).
 pub(crate) fn intersect(
     left: &RelStore,
     right: &RelStore,
@@ -179,7 +183,7 @@ pub(crate) fn intersect(
     let dcols: Vec<usize> = (0..schema.data()).collect();
     let tpairs: Vec<(usize, usize)> = tcols.iter().map(|&c| (c, c)).collect();
     let dpairs: Vec<(usize, usize)> = dcols.iter().map(|&c| (c, c)).collect();
-    let index = gated_index(right, n * m, true, &tcols, &dcols);
+    let index = gated_index(right, n * m, &tcols, &dcols);
     let use_cache = n * m >= INTERN_MIN_PAIRS;
     exec::run_chunked_range(ctx, n, |i| {
         let mut out = Vec::new();
@@ -188,14 +192,14 @@ pub(crate) fn intersect(
         let mut t1: Option<GenTuple> = None;
         let mut visit = |j: usize, out: &mut Vec<GenTuple>| -> Result<()> {
             if pair_rejected(left, right, i, j, &tpairs, &dpairs) {
-                // Exactly the pairs the row path derives to `None`.
+                // Exactly the pairs the derivation turns into `None`.
                 timer.add_pruned(1);
                 return Ok(());
             }
             let t1 = t1.get_or_insert_with(|| row_tuple(left, i));
             let key = (left.part_ids()[i], right.part_ids()[j]);
             if use_cache {
-                if let Some(outcome) = outcome_cached_pair(key.0, key.1, &PairOpKey::Intersect) {
+                if let Some(outcome) = outcome_lookup_pair(key.0, key.1, &PairOpKey::Intersect) {
                     match outcome {
                         Some(part) => out.push(GenTuple::from_part(part, t1.data().to_vec())),
                         None => timer.add_pruned(1),
@@ -244,7 +248,7 @@ pub(crate) fn intersect(
 }
 
 /// Batched equi-join on the given column pairs: returns the output
-/// tuples with the row path's exact counter flow. Pair validation is the
+/// tuples (counters as in the module docs). Pair validation is the
 /// caller's job (`relation.rs` checks before dispatching).
 pub(crate) fn join_on(
     left: &RelStore,
@@ -261,7 +265,7 @@ pub(crate) fn join_on(
     let right_t: Vec<usize> = temporal_pairs.iter().map(|&(_, j)| j).collect();
     let left_d: Vec<usize> = data_pairs.iter().map(|&(i, _)| i).collect();
     let right_d: Vec<usize> = data_pairs.iter().map(|&(_, j)| j).collect();
-    let index = gated_index(right, n * m, true, &right_t, &right_d);
+    let index = gated_index(right, n * m, &right_t, &right_d);
     let use_cache = n * m >= INTERN_MIN_PAIRS;
     // With the join columns fixed for the whole invocation, the temporal
     // outcome of a pair depends only on the two parts and the temporal
@@ -281,7 +285,7 @@ pub(crate) fn join_on(
             let t1 = t1.get_or_insert_with(|| row_tuple(left, i));
             let key = (left.part_ids()[i], right.part_ids()[j]);
             if use_cache {
-                if let Some(outcome) = outcome_cached_pair(key.0, key.1, &op_key) {
+                if let Some(outcome) = outcome_lookup_pair(key.0, key.1, &op_key) {
                     match outcome {
                         Some(part) => {
                             let mut data = t1.data().to_vec();
@@ -331,9 +335,8 @@ pub(crate) fn join_on(
     })
 }
 
-/// Batched difference fold: returns the output tuples with the row
-/// path's exact counter flow (see the module docs for why skipping a
-/// batch-rejected subtrahend is counter-neutral).
+/// Batched difference fold: returns the output tuples (see the module
+/// docs for why skipping a batch-rejected subtrahend is counter-neutral).
 pub(crate) fn difference(
     left: &RelStore,
     right: &RelStore,
@@ -347,10 +350,9 @@ pub(crate) fn difference(
     let dcols: Vec<usize> = (0..schema.data()).collect();
     let tpairs: Vec<(usize, usize)> = tcols.iter().map(|&c| (c, c)).collect();
     let dpairs: Vec<(usize, usize)> = dcols.iter().map(|&c| (c, c)).collect();
-    let index = gated_index(right, n * m, true, &tcols, &dcols);
+    let index = gated_index(right, n * m, &tcols, &dcols);
     // Fold intermediates are ephemeral (never interned globally), so
-    // their emptiness verdicts go through a per-invocation memo, exactly
-    // like the row path — but without feeding `intern_hits`. The
+    // their emptiness verdicts go through a per-invocation memo. The
     // fold-initial parts are interned, so those verdicts use the global
     // cache (`part_is_empty`).
     let interner = (n * m >= INTERN_MIN_PAIRS).then(Interner::new);
@@ -368,8 +370,8 @@ pub(crate) fn difference(
     };
     exec::run_chunked_range(ctx, n, |i| {
         let t1 = row_tuple(left, i);
-        // One fold step, identical to the row path: subtract `t2` from
-        // every member, prune grid-empty results, deduplicate.
+        // One fold step, as in the oracle: subtract `t2` from every
+        // member, prune grid-empty results, deduplicate.
         let step = |acc: Vec<GenTuple>, t2: &GenTuple| -> Result<Vec<GenTuple>> {
             let mut next = Vec::new();
             for t in &acc {
@@ -396,9 +398,9 @@ pub(crate) fn difference(
                 let cands = idx.probe_cols(&ids, &lrps);
                 timer.add_probes(cands.len() as u64);
                 timer.add_index_pruned((m - cands.len()) as u64);
-                // Replicates the row path's indexed arm: a grid-empty
-                // `t1` is dropped upfront (`right` is nonempty whenever
-                // the index gate passed).
+                // A grid-empty `t1` is dropped upfront and counted as
+                // one pruned result (`right` is nonempty whenever the
+                // index gate passed).
                 if part_is_empty(left.part_ids()[i], &t1)? {
                     timer.add_pruned(1);
                     return Ok(vec![]);
@@ -424,7 +426,7 @@ pub(crate) fn difference(
                 // whose members are known non-grid-empty. That holds
                 // after any executed step (members are prune-survivors)
                 // — and from the start iff `t1` itself is non-empty.
-                // For a grid-empty `t1` the row path's first step prunes
+                // For a grid-empty `t1` the oracle's first step prunes
                 // it no matter what `t2` is; run that first step
                 // literally to reproduce its exact pair/prune counts.
                 let mut literal_first = m > 0 && part_is_empty(left.part_ids()[i], &t1)?;

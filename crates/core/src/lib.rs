@@ -83,9 +83,6 @@ pub use metrics::{
     RegistrySnapshot, ResourceCollector, SlowQueryEntry,
 };
 pub use normalize::grid_view;
-#[cfg(feature = "legacy-api")]
-#[allow(deprecated)]
-pub use relation::GenRelationBuilder;
 pub use relation::{GenRelation, RelationBuilder};
 pub use schema::Schema;
 pub use store::{

@@ -169,8 +169,6 @@ pub struct QueryResourceReport {
     pub peak_live_rows: u64,
     /// Generalized tuples produced across all operators (`Σ tuples_out`).
     pub tuples_allocated: u64,
-    /// Duplicate temporal parts absorbed by the operator-level interner.
-    pub intern_hits: u64,
     /// Value-arena interning attempts during the query.
     pub value_lookups: u64,
     /// Value-arena attempts answered by an existing entry.
@@ -222,14 +220,12 @@ impl QueryResourceReport {
 
     /// Scrubs every field that depends on process history or shared
     /// caches (arena/index/CRT deltas), keeping only the replay-
-    /// deterministic core: `peak_live_rows`, `tuples_allocated`, and
-    /// `intern_hits`. The slow-log determinism tests compare scrubbed
-    /// reports.
+    /// deterministic core: `peak_live_rows` and `tuples_allocated`. The
+    /// slow-log determinism tests compare scrubbed reports.
     pub fn without_timing(&self) -> QueryResourceReport {
         QueryResourceReport {
             peak_live_rows: self.peak_live_rows,
             tuples_allocated: self.tuples_allocated,
-            intern_hits: self.intern_hits,
             ..QueryResourceReport::default()
         }
     }
@@ -237,13 +233,12 @@ impl QueryResourceReport {
     fn json_fields(&self, out: &mut String) {
         let _ = write!(
             out,
-            "\"peak_live_rows\":{},\"tuples_allocated\":{},\"intern_hits\":{},\
+            "\"peak_live_rows\":{},\"tuples_allocated\":{},\
              \"value_lookups\":{},\"value_hits\":{},\"part_lookups\":{},\"part_hits\":{},\
              \"arena_bytes\":{},\"index_builds\":{},\"index_reuses\":{},\
              \"crt_hits\":{},\"crt_misses\":{}",
             self.peak_live_rows,
             self.tuples_allocated,
-            self.intern_hits,
             self.value_lookups,
             self.value_hits,
             self.part_lookups,
@@ -276,8 +271,8 @@ impl ResourceCollector {
 
     /// Builds the report from the post-execution counters: storage and
     /// CRT fields are deltas against [`ResourceCollector::start`];
-    /// `tuples_allocated` and `intern_hits` come out of the query's own
-    /// per-op counter delta `stats`.
+    /// `tuples_allocated` comes out of the query's own per-op counter
+    /// delta `stats`.
     pub fn finish(self, peak_live_rows: u64, stats: &StatsSnapshot) -> QueryResourceReport {
         let s = storage_stats();
         let c = itd_lrp::crt_cache_stats();
@@ -285,7 +280,6 @@ impl ResourceCollector {
         QueryResourceReport {
             peak_live_rows,
             tuples_allocated: stats.iter().map(|(_, o)| o.tuples_out).sum(),
-            intern_hits: stats.iter().map(|(_, o)| o.intern_hits).sum(),
             value_lookups: s.value_lookups.saturating_sub(self.storage.value_lookups),
             value_hits: s.value_hits.saturating_sub(self.storage.value_hits),
             part_lookups: s.part_lookups.saturating_sub(self.storage.part_lookups),
@@ -1236,7 +1230,6 @@ mod tests {
         let r = QueryResourceReport {
             peak_live_rows: 5,
             tuples_allocated: 6,
-            intern_hits: 7,
             value_lookups: 100,
             crt_hits: 3,
             arena_bytes: 4096,
@@ -1245,7 +1238,6 @@ mod tests {
         let scrubbed = r.without_timing();
         assert_eq!(scrubbed.peak_live_rows, 5);
         assert_eq!(scrubbed.tuples_allocated, 6);
-        assert_eq!(scrubbed.intern_hits, 7);
         assert_eq!(scrubbed.value_lookups, 0);
         assert_eq!(scrubbed.crt_hits, 0);
         assert_eq!(scrubbed.arena_bytes, 0);

@@ -26,9 +26,9 @@
 //! `hits == lookups − distinct` holds at every snapshot.
 //!
 //! Row-oriented access stays available through the [`Rows`] cursor /
-//! [`RowRef`] view API and a lazily materialized row cache (`OnceLock`),
-//! which the deprecated `tuples()` shim also reads — materialization
-//! happens at most once per store, not per call.
+//! [`RowRef`] view API and a lazily materialized row cache (`OnceLock`)
+//! for the row-oriented operator loops — materialization happens at most
+//! once per store, not per call.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -123,7 +123,7 @@ static OUTCOME_MISSES: AtomicU64 = AtomicU64::new(0);
 static OUTCOME_EVICTIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Default entry bound of the global [pairwise outcome cache]
-/// (`outcome_cached_pair`): pair outcomes plus emptiness verdicts
+/// (`outcome_lookup_pair`): pair outcomes plus emptiness verdicts
 /// together never exceed the configured capacity.
 pub const OUTCOME_CACHE_CAP: usize = 1 << 16;
 
@@ -168,7 +168,7 @@ fn outcomes() -> &'static Mutex<OutcomeInner> {
 /// Looks up a cached pairwise outcome. The outer `Option` is the cache
 /// verdict (`None` = miss); the inner one is the derivation's result
 /// (`None` = the pair derives to nothing).
-pub(crate) fn outcome_cached_pair(
+pub(crate) fn outcome_lookup_pair(
     left: TemporalPartId,
     right: TemporalPartId,
     op: &PairOpKey,
@@ -201,7 +201,7 @@ pub(crate) fn outcome_cache_pair(
 }
 
 /// Cached grid-emptiness verdict for one interned part, if known.
-pub(crate) fn outcome_cached_empty(id: TemporalPartId) -> Option<bool> {
+pub(crate) fn outcome_lookup_empty(id: TemporalPartId) -> Option<bool> {
     let inner = outcomes().lock().expect("outcome cache poisoned");
     match inner.empties.get(&id) {
         Some(&empty) => {
@@ -513,8 +513,7 @@ pub(crate) struct RelStore {
     t_periods: Vec<Vec<i64>>,
     /// Per data column: each row's interned value id.
     data: Vec<Vec<ValueId>>,
-    /// Lazily materialized row view (what `rows_slice` / the deprecated
-    /// `tuples()` shim hand out).
+    /// Lazily materialized row view (what `rows_slice` hands out).
     rows: OnceLock<Vec<GenTuple>>,
     /// Persistent residue indexes by column set.
     indexes: Mutex<HashMap<IndexKey, Arc<RelationIndex>>>,
@@ -1220,13 +1219,13 @@ mod tests {
         let (a, b) = (s.part_ids()[0], s.part_ids()[1]);
         let hits0 = raw_storage_stats().outcome_hits;
         outcome_cache_pair(a, b, PairOpKey::Intersect, Some(Arc::clone(s.part(0))));
-        let got = outcome_cached_pair(a, b, &PairOpKey::Intersect)
+        let got = outcome_lookup_pair(a, b, &PairOpKey::Intersect)
             .expect("just-inserted outcome must hit");
         assert_eq!(got.as_deref(), Some(&**s.part(0)));
         assert!(raw_storage_stats().outcome_hits > hits0);
         // A different op key is a distinct outcome.
         let join_key = PairOpKey::Join(vec![(0, 0)].into_boxed_slice());
-        assert_eq!(outcome_cached_pair(a, b, &join_key), None);
+        assert_eq!(outcome_lookup_pair(a, b, &join_key), None);
     }
 
     #[test]

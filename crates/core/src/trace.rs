@@ -95,8 +95,6 @@ pub struct Span {
     pub tuples_subsumed: u64,
     /// Tuples eliminated by coalescing residue-class groups.
     pub coalesce_merges: u64,
-    /// Duplicate temporal parts absorbed by hash-consing.
-    pub intern_hits: u64,
     /// Largest common period `k` encountered inside the span.
     pub max_period: u64,
     /// Begin time, nanoseconds since the sink was created.
@@ -163,7 +161,6 @@ impl TraceSink {
             atoms_simplified: 0,
             tuples_subsumed: 0,
             coalesce_merges: 0,
-            intern_hits: 0,
             max_period: 0,
             start_nanos,
             nanos: 0,
@@ -332,7 +329,6 @@ impl Trace {
                 op.atoms_simplified += span.atoms_simplified;
                 op.tuples_subsumed += span.tuples_subsumed;
                 op.coalesce_merges += span.coalesce_merges;
-                op.intern_hits += span.intern_hits;
                 op.max_period = op.max_period.max(span.max_period);
                 op.nanos += span.nanos;
             }
@@ -378,7 +374,6 @@ impl Trace {
                 op.atoms_simplified += span.atoms_simplified;
                 op.tuples_subsumed += span.tuples_subsumed;
                 op.coalesce_merges += span.coalesce_merges;
-                op.intern_hits += span.intern_hits;
                 op.max_period = op.max_period.max(span.max_period);
                 op.nanos += span.nanos;
             }
@@ -491,7 +486,7 @@ impl Trace {
                  \"tuples_out\":{},\
                  \"pairs\":{},\"empties_pruned\":{},\"index_probes\":{},\"index_pruned\":{},\
                  \"atoms_simplified\":{},\"tuples_subsumed\":{},\"coalesce_merges\":{},\
-                 \"intern_hits\":{},\"max_period\":{}}}}}",
+                 \"max_period\":{}}}}}",
                 if span.label.is_op() { "op" } else { "node" },
                 span.start_nanos as f64 / 1_000.0,
                 span.nanos as f64 / 1_000.0,
@@ -507,7 +502,6 @@ impl Trace {
                 span.atoms_simplified,
                 span.tuples_subsumed,
                 span.coalesce_merges,
-                span.intern_hits,
                 span.max_period,
             ));
         }
@@ -548,9 +542,6 @@ fn describe(span: &Span) -> String {
     if span.coalesce_merges > 0 {
         line.push_str(&format!(" merged={}", span.coalesce_merges));
     }
-    if span.intern_hits > 0 {
-        line.push_str(&format!(" interned={}", span.intern_hits));
-    }
     if span.max_period > 0 {
         line.push_str(&format!(" k={}", span.max_period));
     }
@@ -574,7 +565,7 @@ fn span_json(out: &mut String, span: &Span) {
     out.push_str(&format!(
         ",\"tuples_in\":{},\"tuples_out\":{},\"pairs\":{},\"empties_pruned\":{},\
          \"index_probes\":{},\"index_pruned\":{},\"atoms_simplified\":{},\
-         \"tuples_subsumed\":{},\"coalesce_merges\":{},\"intern_hits\":{},\"max_period\":{},\
+         \"tuples_subsumed\":{},\"coalesce_merges\":{},\"max_period\":{},\
          \"start_ns\":{},\"dur_ns\":{}}}",
         span.tuples_in,
         span.tuples_out,
@@ -585,7 +576,6 @@ fn span_json(out: &mut String, span: &Span) {
         span.atoms_simplified,
         span.tuples_subsumed,
         span.coalesce_merges,
-        span.intern_hits,
         span.max_period,
         span.start_nanos,
         span.nanos,
@@ -625,7 +615,7 @@ impl StatsSnapshot {
     pub fn to_prometheus(&self) -> String {
         type Metric = (&'static str, &'static str, fn(&OpSnapshot) -> u64);
         let mut out = String::new();
-        let counters: [Metric; 11] = [
+        let counters: [Metric; 10] = [
             ("calls", "Algebra operator invocations.", |o| o.calls),
             ("tuples_in", "Generalized tuples consumed.", |o| o.tuples_in),
             ("tuples_out", "Generalized tuples produced.", |o| {
@@ -657,11 +647,6 @@ impl StatsSnapshot {
                 "coalesce_merges",
                 "Tuples eliminated by coalescing residue classes.",
                 |o| o.coalesce_merges,
-            ),
-            (
-                "intern_hits",
-                "Duplicate temporal parts absorbed by hash-consing.",
-                |o| o.intern_hits,
             ),
         ];
         for (metric, help, get) in counters {
@@ -708,7 +693,7 @@ impl StatsSnapshot {
                 "\"{}\":{{\"calls\":{},\"tuples_in\":{},\"tuples_out\":{},\"pairs\":{},\
                  \"empties_pruned\":{},\"index_probes\":{},\"index_pruned\":{},\
                  \"atoms_simplified\":{},\"tuples_subsumed\":{},\"coalesce_merges\":{},\
-                 \"intern_hits\":{},\"max_period\":{},\"nanos\":{}}}",
+                 \"max_period\":{},\"nanos\":{}}}",
                 kind.name(),
                 op.calls,
                 op.tuples_in,
@@ -720,7 +705,6 @@ impl StatsSnapshot {
                 op.atoms_simplified,
                 op.tuples_subsumed,
                 op.coalesce_merges,
-                op.intern_hits,
                 op.max_period,
                 op.nanos,
             ));
@@ -863,7 +847,6 @@ mod tests {
         let b = sink.begin(SpanLabel::Op(OpKind::Intersect), None);
         sink.end(b, |s| {
             s.pairs = 9;
-            s.intern_hits = 5;
             s.nanos = 300;
         });
         let t = sink.take();
@@ -872,18 +855,18 @@ mod tests {
             text.contains("compact: in=10 out=6 subsumed=3 merged=1"),
             "{text}"
         );
-        assert!(text.contains("interned=5"), "{text}");
+        assert!(text.contains("intersect: in=0 out=0 pairs=9"), "{text}");
         let totals = t.op_totals();
         assert_eq!(totals.op(OpKind::Compact).tuples_subsumed, 3);
         assert_eq!(totals.op(OpKind::Compact).coalesce_merges, 1);
-        assert_eq!(totals.op(OpKind::Intersect).intern_hits, 5);
+        assert_eq!(totals.op(OpKind::Intersect).pairs, 9);
         let prom = totals.to_prometheus();
         assert!(
             prom.contains("itd_op_tuples_subsumed_total{op=\"compact\"} 3"),
             "{prom}"
         );
         assert!(
-            prom.contains("itd_op_intern_hits_total{op=\"intersect\"} 5"),
+            prom.contains("itd_op_pairs_total{op=\"intersect\"} 9"),
             "{prom}"
         );
         let json = totals.to_json();
@@ -891,7 +874,7 @@ mod tests {
         let jsonl = t.to_json_lines();
         assert!(jsonl.contains("\"tuples_subsumed\":3"), "{jsonl}");
         let chrome = t.to_chrome_trace();
-        assert!(chrome.contains("\"intern_hits\":5"), "{chrome}");
+        assert!(chrome.contains("\"pairs\":9"), "{chrome}");
     }
 
     #[test]

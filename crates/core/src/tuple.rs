@@ -58,20 +58,6 @@ impl GenTuple {
         GenTupleBuilder::default()
     }
 
-    /// Builds a generalized tuple from its three components.
-    ///
-    /// # Errors
-    /// [`CoreError::SchemaMismatch`] if the constraint system's arity does
-    /// not equal the number of lrps.
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `GenTuple::builder()` with `.constraints(..)`"
-    )]
-    pub fn new(lrps: Vec<Lrp>, cons: ConstraintSystem, data: Vec<Value>) -> Result<GenTuple> {
-        GenTuple::from_parts(lrps, cons, data)
-    }
-
     /// Builds a tuple from its three components (the internal, non-builder
     /// path used by the algebra, which produces constraint systems
     /// wholesale).
@@ -122,17 +108,6 @@ impl GenTuple {
             part: Arc::new(TemporalPart { lrps, cons }),
             data,
         }
-    }
-
-    /// Convenience constructor from atoms.
-    ///
-    /// # Errors
-    /// Propagates constraint-closure arithmetic failures.
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(since = "0.2.0", note = "use `GenTuple::builder()` with `.atom(..)`")]
-    pub fn with_atoms(lrps: Vec<Lrp>, atoms: &[Atom], data: Vec<Value>) -> Result<GenTuple> {
-        let cons = ConstraintSystem::from_atoms(lrps.len(), atoms)?;
-        GenTuple::from_parts(lrps, cons, data)
     }
 
     /// The schema of this tuple.
@@ -423,37 +398,6 @@ mod tests {
 
     fn lrp(c: i64, k: i64) -> Lrp {
         Lrp::new(c, k).unwrap()
-    }
-
-    #[test]
-    #[cfg(feature = "legacy-api")]
-    #[allow(deprecated)]
-    fn deprecated_constructors_agree_with_builder() {
-        // The 0.1 positional constructors remain as shims; they must build
-        // exactly what the builder builds.
-        let built = GenTuple::builder()
-            .lrps(vec![lrp(0, 2), lrp(1, 4)])
-            .atoms([Atom::ge(0, 3), Atom::diff_le(0, 1, 5)])
-            .datum(Value::Int(7))
-            .build()
-            .unwrap();
-        let legacy = GenTuple::with_atoms(
-            vec![lrp(0, 2), lrp(1, 4)],
-            &[Atom::ge(0, 3), Atom::diff_le(0, 1, 5)],
-            vec![Value::Int(7)],
-        )
-        .unwrap();
-        assert_eq!(built, legacy);
-        let from_new = GenTuple::new(
-            legacy.lrps().to_vec(),
-            legacy.constraints().clone(),
-            legacy.data().to_vec(),
-        )
-        .unwrap();
-        assert_eq!(built, from_new);
-        // Arity mismatches fail identically through both paths.
-        assert!(GenTuple::with_atoms(vec![], &[], vec![Value::Int(1)]).is_ok());
-        assert!(GenTuple::builder().atom(Atom::ge(2, 0)).build().is_err());
     }
 
     #[test]

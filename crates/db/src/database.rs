@@ -4,8 +4,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use itd_core::{ExecContext, GenRelation, GenTuple, MetricsRegistry, Value};
-#[cfg(feature = "legacy-api")]
-use itd_query::QueryResult;
 use itd_query::{Catalog, Formula, MaintainedView, QueryOpts, QueryOutput, RelationDelta};
 use serde::{Deserialize, Serialize};
 
@@ -595,105 +593,6 @@ impl Database {
         }
     }
 
-    /// Parses and evaluates an open query; the result carries one column
-    /// per free variable (and the evaluation's operator statistics,
-    /// [`QueryResult::stats`]).
-    ///
-    /// # Errors
-    /// Parse/sort/evaluation errors ([`DbError::Query`]).
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(since = "0.2.0", note = "use `run` with `QueryOpts` instead")]
-    pub fn query(&self, src: impl AsRef<str>) -> Result<QueryResult> {
-        self.run(src, QueryOpts::new().optimize(false).compact(false))
-            .map(|o| o.result)
-    }
-
-    /// [`Database::query`] under an explicit execution context (thread
-    /// budget and accumulated statistics).
-    ///
-    /// # Errors
-    /// See [`Database::run`].
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `run` with `QueryOpts::new().ctx(ctx)` instead"
-    )]
-    pub fn query_with(&self, src: impl AsRef<str>, ctx: &ExecContext) -> Result<QueryResult> {
-        self.run(
-            src,
-            QueryOpts::new().ctx(ctx).optimize(false).compact(false),
-        )
-        .map(|o| o.result)
-    }
-
-    /// Evaluates a pre-built formula.
-    ///
-    /// # Errors
-    /// See [`Database::run`].
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(since = "0.2.0", note = "use `run_formula` with `QueryOpts` instead")]
-    pub fn query_formula(&self, f: &Formula) -> Result<QueryResult> {
-        self.run_formula(f, QueryOpts::new().optimize(false).compact(false))
-            .map(|o| o.result)
-    }
-
-    /// Parses and evaluates a yes/no query (free variables are closed
-    /// existentially).
-    ///
-    /// # Errors
-    /// See [`Database::run`].
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `run` with `QueryOpts`, then `QueryOutput::truth`, instead"
-    )]
-    pub fn query_bool(&self, src: impl AsRef<str>) -> Result<bool> {
-        let ctx = ExecContext::new();
-        self.run(
-            src,
-            QueryOpts::new().ctx(&ctx).optimize(false).compact(false),
-        )?
-        .truth_in(&ctx)
-        .map_err(DbError::Query)
-    }
-
-    /// [`Database::query_bool`] under an explicit execution context.
-    ///
-    /// # Errors
-    /// See [`Database::run`].
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `run` with `QueryOpts::new().ctx(ctx)`, then `QueryOutput::truth_in`, instead"
-    )]
-    pub fn query_bool_with(&self, src: impl AsRef<str>, ctx: &ExecContext) -> Result<bool> {
-        self.run(
-            src,
-            QueryOpts::new().ctx(ctx).optimize(false).compact(false),
-        )?
-        .truth_in(ctx)
-        .map_err(DbError::Query)
-    }
-
-    /// Conversational name for the yes/no reading of a query.
-    ///
-    /// # Errors
-    /// See [`Database::run`].
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `run` with `QueryOpts`, then `QueryOutput::truth`, instead"
-    )]
-    pub fn ask(&self, src: impl AsRef<str>) -> Result<bool> {
-        let ctx = ExecContext::new();
-        self.run(
-            src,
-            QueryOpts::new().ctx(&ctx).optimize(false).compact(false),
-        )?
-        .truth_in(&ctx)
-        .map_err(DbError::Query)
-    }
-
     /// Compiles a query to its algebra plan *without executing it*
     /// (EXPLAIN). Parse and sort errors are reported exactly as
     /// [`Database::run`] would report them, but no relation is touched.
@@ -730,38 +629,6 @@ impl Database {
     ) -> Result<itd_query::ExplainReport> {
         let f = itd_query::parse(src.as_ref())?;
         itd_query::explain_opt_with(self, &f, compact).map_err(DbError::Query)
-    }
-
-    /// Parses and evaluates an open query with tracing (EXPLAIN ANALYZE):
-    /// returns the answer, the compiled plan, and the recorded span tree.
-    /// The context should be traced ([`ExecContext::traced`]); untraced
-    /// contexts yield an empty trace.
-    ///
-    /// # Errors
-    /// See [`Database::run`].
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `run` with `QueryOpts::new().ctx(ctx).trace(true)` instead"
-    )]
-    pub fn query_traced_with(
-        &self,
-        src: impl AsRef<str>,
-        ctx: &ExecContext,
-    ) -> Result<itd_query::Traced> {
-        let out = self.run(
-            src,
-            QueryOpts::new()
-                .ctx(ctx)
-                .trace(true)
-                .optimize(false)
-                .compact(false),
-        )?;
-        Ok(itd_query::Traced {
-            result: out.result,
-            plan: out.plan,
-            trace: out.trace.unwrap_or_default(),
-        })
     }
 
     /// Materializes an open query as a new table: the answer relation

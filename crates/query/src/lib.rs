@@ -67,15 +67,7 @@ mod views;
 pub use ast::{CmpOp, DataTerm, Formula, Sort, TemporalTerm};
 pub use catalog::{Catalog, MemoryCatalog};
 pub use error::QueryError;
-#[cfg(feature = "legacy-api")]
-pub use eval::Traced;
 pub use eval::{estimate_src, run, run_src, QueryOpts, QueryOutput, QueryResult};
-#[cfg(feature = "legacy-api")]
-#[allow(deprecated)]
-pub use eval::{
-    evaluate, evaluate_bool, evaluate_bool_with, evaluate_traced, evaluate_traced_with,
-    evaluate_with,
-};
 pub use itd_core::{
     CancelToken, ExecContext, MetricsRegistry, OpKind, OpSnapshot, QueryResourceReport,
     RegistrySnapshot, SlowQueryEntry, Span, SpanLabel, StatsSnapshot, Trace,

@@ -86,9 +86,124 @@ pub struct PlanCacheStats {
     pub bypasses: u64,
 }
 
-fn cache() -> &'static Mutex<Inner> {
-    static CACHE: OnceLock<Mutex<Inner>> = OnceLock::new();
-    CACHE.get_or_init(Mutex::default)
+/// A bounded FIFO cache of prepared plans with its cumulative counters.
+/// The process-wide instance ([`global`]) backs the `plan_cache_*`
+/// functions; tests drive private instances so sibling tests cannot
+/// perturb their counts.
+#[derive(Debug, Default)]
+pub(crate) struct PlanCache {
+    inner: Mutex<Inner>,
+}
+
+impl PlanCache {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        self.inner.lock().expect("plan cache poisoned")
+    }
+
+    /// The prepared plan for a key, counting the lookup as a hit or miss.
+    pub(crate) fn lookup(
+        &self,
+        token: u64,
+        text: &str,
+        optimize: bool,
+        compact: bool,
+        trace: bool,
+    ) -> Option<Arc<PreparedPlan>> {
+        let key = Key {
+            token,
+            text: text.to_owned(),
+            optimize,
+            compact,
+            trace,
+        };
+        let mut inner = self.lock();
+        inner.stats.lookups += 1;
+        let found = inner.map.get(&key).cloned();
+        match found {
+            Some(_) => inner.stats.hits += 1,
+            None => inner.stats.misses += 1,
+        }
+        found
+    }
+
+    /// Inserts a prepared plan, evicting the oldest entries beyond
+    /// [`PLAN_CACHE_CAP`].
+    pub(crate) fn insert(
+        &self,
+        token: u64,
+        text: String,
+        optimize: bool,
+        compact: bool,
+        trace: bool,
+        entry: Arc<PreparedPlan>,
+    ) {
+        let key = Key {
+            token,
+            text,
+            optimize,
+            compact,
+            trace,
+        };
+        let mut inner = self.lock();
+        if inner.map.contains_key(&key) {
+            // A racing preparation of the same query got here first; keep
+            // it (both are equivalent) so `order` holds each key at most
+            // once.
+            return;
+        }
+        while inner.map.len() >= PLAN_CACHE_CAP {
+            let Some(oldest) = inner.order.pop_front() else {
+                break;
+            };
+            if inner.map.remove(&oldest).is_some() {
+                inner.stats.evictions += 1;
+            }
+        }
+        inner.map.insert(key.clone(), entry);
+        inner.order.push_back(key);
+        inner.stats.insertions += 1;
+    }
+
+    /// Counts one run that could not consult the cache because the
+    /// catalog opted out of plan tokens.
+    pub(crate) fn count_bypass(&self) {
+        self.lock().stats.bypasses += 1;
+    }
+
+    /// Drops every entry prepared under `token`, returning how many were
+    /// removed.
+    pub(crate) fn invalidate(&self, token: u64) -> usize {
+        let mut inner = self.lock();
+        let before = inner.map.len();
+        inner.map.retain(|k, _| k.token != token);
+        inner.order.retain(|k| k.token != token);
+        let removed = before - inner.map.len();
+        inner.stats.invalidations += removed as u64;
+        removed
+    }
+
+    /// A snapshot of the cumulative counters.
+    pub(crate) fn stats(&self) -> PlanCacheStats {
+        self.lock().stats
+    }
+
+    /// Number of prepared plans currently retained.
+    pub(crate) fn len(&self) -> usize {
+        self.lock().map.len()
+    }
+
+    /// Drops every entry without counting evictions or invalidations.
+    pub(crate) fn clear(&self) {
+        let mut inner = self.lock();
+        inner.map.clear();
+        inner.order.clear();
+    }
+}
+
+/// The process-wide plan cache that [`run`](crate::run) consults.
+pub(crate) fn global() -> &'static PlanCache {
+    static CACHE: OnceLock<PlanCache> = OnceLock::new();
+    CACHE.get_or_init(PlanCache::default)
 }
 
 /// A fresh, never-before-issued plan token. Catalogs take one at
@@ -98,99 +213,27 @@ pub fn next_plan_token() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-pub(crate) fn lookup(
-    token: u64,
-    text: &str,
-    optimize: bool,
-    compact: bool,
-    trace: bool,
-) -> Option<Arc<PreparedPlan>> {
-    let key = Key {
-        token,
-        text: text.to_owned(),
-        optimize,
-        compact,
-        trace,
-    };
-    let mut inner = cache().lock().expect("plan cache poisoned");
-    inner.stats.lookups += 1;
-    let found = inner.map.get(&key).cloned();
-    match found {
-        Some(_) => inner.stats.hits += 1,
-        None => inner.stats.misses += 1,
-    }
-    found
-}
-
-pub(crate) fn insert(
-    token: u64,
-    text: String,
-    optimize: bool,
-    compact: bool,
-    trace: bool,
-    entry: Arc<PreparedPlan>,
-) {
-    let key = Key {
-        token,
-        text,
-        optimize,
-        compact,
-        trace,
-    };
-    let mut inner = cache().lock().expect("plan cache poisoned");
-    if inner.map.contains_key(&key) {
-        // A racing preparation of the same query got here first; keep it
-        // (both are equivalent) so `order` holds each key at most once.
-        return;
-    }
-    while inner.map.len() >= PLAN_CACHE_CAP {
-        let Some(oldest) = inner.order.pop_front() else {
-            break;
-        };
-        if inner.map.remove(&oldest).is_some() {
-            inner.stats.evictions += 1;
-        }
-    }
-    inner.map.insert(key.clone(), entry);
-    inner.order.push_back(key);
-    inner.stats.insertions += 1;
-}
-
-/// Counts one run that could not consult the cache because the catalog
-/// opted out of plan tokens.
-pub(crate) fn count_bypass() {
-    cache().lock().expect("plan cache poisoned").stats.bypasses += 1;
-}
-
 /// Drops every entry prepared under `token`, returning how many were
 /// removed. Catalogs call this with their outgoing token when they mutate.
 pub fn plan_cache_invalidate(token: u64) -> usize {
-    let mut inner = cache().lock().expect("plan cache poisoned");
-    let before = inner.map.len();
-    inner.map.retain(|k, _| k.token != token);
-    inner.order.retain(|k| k.token != token);
-    let removed = before - inner.map.len();
-    inner.stats.invalidations += removed as u64;
-    removed
+    global().invalidate(token)
 }
 
 /// A snapshot of the cumulative cache counters.
 pub fn plan_cache_stats() -> PlanCacheStats {
-    cache().lock().expect("plan cache poisoned").stats
+    global().stats()
 }
 
 /// Number of prepared plans currently retained.
 pub fn plan_cache_len() -> usize {
-    cache().lock().expect("plan cache poisoned").map.len()
+    global().len()
 }
 
 /// Empties the cache (counters are preserved; the drops are *not*
 /// counted as evictions or invalidations). Mainly for tests and
 /// benchmarks that need a cold start.
 pub fn plan_cache_clear() {
-    let mut inner = cache().lock().expect("plan cache poisoned");
-    inner.map.clear();
-    inner.order.clear();
+    global().clear();
 }
 
 #[cfg(test)]
@@ -210,34 +253,39 @@ mod tests {
 
     #[test]
     fn lookup_insert_invalidate_roundtrip() {
+        let cache = PlanCache::default();
         let token = next_plan_token();
-        assert!(lookup(token, "p(t)", true, true, false).is_none());
-        insert(token, "p(t)".into(), true, true, false, entry("p(t)"));
-        assert!(lookup(token, "p(t)", true, true, false).is_some());
+        assert!(cache.lookup(token, "p(t)", true, true, false).is_none());
+        cache.insert(token, "p(t)".into(), true, true, false, entry("p(t)"));
+        assert!(cache.lookup(token, "p(t)", true, true, false).is_some());
         // Every key component discriminates.
-        assert!(lookup(token, "p(t)", false, true, false).is_none());
-        assert!(lookup(token, "p(t)", true, false, false).is_none());
-        assert!(lookup(token, "p(t)", true, true, true).is_none());
-        assert!(lookup(next_plan_token(), "p(t)", true, true, false).is_none());
-        assert_eq!(plan_cache_invalidate(token), 1);
-        assert!(lookup(token, "p(t)", true, true, false).is_none());
+        assert!(cache.lookup(token, "p(t)", false, true, false).is_none());
+        assert!(cache.lookup(token, "p(t)", true, false, false).is_none());
+        assert!(cache.lookup(token, "p(t)", true, true, true).is_none());
+        assert!(cache
+            .lookup(next_plan_token(), "p(t)", true, true, false)
+            .is_none());
+        assert_eq!(cache.invalidate(token), 1);
+        assert!(cache.lookup(token, "p(t)", true, true, false).is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.lookups, stats.hits, stats.misses), (7, 1, 6));
+        assert_eq!((stats.insertions, stats.invalidations), (1, 1));
     }
 
     #[test]
     fn fifo_eviction_is_bounded_and_counted() {
+        let cache = PlanCache::default();
         let token = next_plan_token();
-        let before = plan_cache_stats();
         for i in 0..PLAN_CACHE_CAP + 8 {
             let text = format!("p(t + {i})");
-            insert(token, text, true, true, false, entry("p(t)"));
+            cache.insert(token, text, true, true, false, entry("p(t)"));
         }
-        let after = plan_cache_stats();
-        assert!(plan_cache_len() <= PLAN_CACHE_CAP);
-        assert!(after.evictions >= before.evictions + 8);
-        assert_eq!(
-            after.insertions - before.insertions,
-            (PLAN_CACHE_CAP + 8) as u64
-        );
-        plan_cache_invalidate(token);
+        let stats = cache.stats();
+        assert_eq!(stats.insertions, (PLAN_CACHE_CAP + 8) as u64);
+        assert_eq!(stats.evictions, 8);
+        assert_eq!(cache.len(), PLAN_CACHE_CAP);
+        // The eight oldest entries went first.
+        assert!(cache.lookup(token, "p(t + 7)", true, true, false).is_none());
+        assert!(cache.lookup(token, "p(t + 8)", true, true, false).is_some());
     }
 }

@@ -51,7 +51,7 @@ fn rebuilt_paths(rel: &GenRelation) -> Vec<GenRelation> {
 
 /// Every counter of every op except wall time (which is never
 /// deterministic across runs).
-type Counters = Vec<[u64; 12]>;
+type Counters = Vec<[u64; 11]>;
 
 /// Runs `op` under a fresh context and returns the result with the full
 /// counter snapshot (timing excluded).
@@ -76,7 +76,6 @@ where
                 op.atoms_simplified,
                 op.tuples_subsumed,
                 op.coalesce_merges,
-                op.intern_hits,
                 op.max_period,
             ]
         })
